@@ -128,16 +128,21 @@ func timePerOp(trials, reps int, f func()) float64 {
 	}
 	best := 0.0
 	for t := 0; t < trials || t == 0; t++ {
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			f()
-		}
-		el := float64(time.Since(start).Nanoseconds()) / 1e6 / float64(reps)
-		if t == 0 || el < best {
+		if el := timeBatch(reps, f); t == 0 || el < best {
 			best = el
 		}
 	}
 	return best
+}
+
+// timeBatch reports the per-call wall time of f in ms over one batch of
+// reps calls.
+func timeBatch(reps int, f func()) float64 {
+	start := time.Now()
+	for r := 0; r < reps; r++ {
+		f()
+	}
+	return float64(time.Since(start).Nanoseconds()) / 1e6 / float64(reps)
 }
 
 // hybridReps sizes the batching loop so each timed trial does on the
@@ -153,50 +158,58 @@ func hybridReps(n int) int {
 	return r
 }
 
-// measureHybridPair compresses (a, b) under the given codec names and
-// measures decompress/AND/OR through the pooled engine.
-func measureHybridPair(trials int, nameA, nameB string, a, b []uint32) (HybridMetric, error) {
-	var m HybridMetric
-	ca, err := codecs.ByName(nameA)
-	if err != nil {
-		return m, err
-	}
-	cb, err := codecs.ByName(nameB)
-	if err != nil {
-		return m, err
-	}
-	pa, err := ca.Compress(a)
-	if err != nil {
-		return m, fmt.Errorf("%s: %w", nameA, err)
-	}
-	pb, err := cb.Compress(b)
-	if err != nil {
-		return m, fmt.Errorf("%s: %w", nameB, err)
-	}
-	ps := []core.Posting{pa, pb}
-	m.SpaceBytes = sizeOf(ps)
+// measureHybridPairs compresses (a, b) under each pair of codec names
+// and measures decompress/AND/OR through the pooled engine. The pairs
+// are timed interleaved: one untimed warm-up batch of every op, then
+// trial t of every pair before trial t+1 of any, so a cold start or a
+// host slowdown lands on all of them alike rather than on whichever
+// pair was being measured at the time, and every timed batch starts
+// right after a collection, so none pays for garbage another left
+// behind. Timed back to back without either, a cell's first pair (the
+// advisor's pick) reads up to 3× slower than the identical codec pair
+// timed after it, and noise alone crosses TimeTol.
+func measureHybridPairs(trials int, pairs [][2]string, a, b []uint32) ([]HybridMetric, error) {
 	eng := ops.Default()
 	reps := hybridReps(len(a) + len(b))
 	var sink []uint32
 	var evalErr error
-	m.DecompressMS = timePerOp(trials, reps, func() {
-		sink = pa.Decompress()
-		sink = pb.Decompress()
-	})
-	m.AndMS = timePerOp(trials, reps, func() {
-		sink, evalErr = eng.Eval(ops.And(ops.Leaf(0), ops.Leaf(1)), ps)
-	})
-	if evalErr != nil {
-		return m, evalErr
+	ms := make([]HybridMetric, len(pairs))
+	runs := make([][3]func(), len(pairs)) // decompress, AND, OR
+	for i, p := range pairs {
+		ps, err := compressNamed(p[:], [][]uint32{a, b})
+		if err != nil {
+			return nil, err
+		}
+		ms[i].SpaceBytes = sizeOf(ps)
+		runs[i] = [3]func(){
+			func() {
+				sink = ps[0].Decompress()
+				sink = ps[1].Decompress()
+			},
+			func() { sink, evalErr = eng.Eval(ops.And(ops.Leaf(0), ops.Leaf(1)), ps) },
+			func() { sink, evalErr = eng.Eval(ops.Or(ops.Leaf(0), ops.Leaf(1)), ps) },
+		}
 	}
-	m.OrMS = timePerOp(trials, reps, func() {
-		sink, evalErr = eng.Eval(ops.Or(ops.Leaf(0), ops.Leaf(1)), ps)
-	})
-	if evalErr != nil {
-		return m, evalErr
+	best := make([][3]float64, len(pairs))
+	for t := -1; t < trials || t == 0; t++ { // t == -1 is the warm-up
+		for i := range runs {
+			for op, f := range runs[i] {
+				runtime.GC()
+				el := timeBatch(reps, f)
+				if t == 0 || (t > 0 && el < best[i][op]) {
+					best[i][op] = el
+				}
+			}
+			if evalErr != nil {
+				return nil, fmt.Errorf("%s×%s: %w", pairs[i][0], pairs[i][1], evalErr)
+			}
+		}
 	}
 	runtime.KeepAlive(sink)
-	return m, nil
+	for i := range ms {
+		ms[i].DecompressMS, ms[i].AndMS, ms[i].OrMS = best[i][0], best[i][1], best[i][2]
+	}
+	return ms, nil
 }
 
 // dominates reports whether candidate c beats h on space AND every op
@@ -293,15 +306,17 @@ func RunHybrid(cfg HybridConfig) (*HybridReport, error) {
 				Pick: recA.Codec, PickReason: recA.Reason,
 				Candidates: map[string]HybridMetric{},
 			}
-			var err error
-			if cell.Hybrid, err = measureHybridPair(cfg.Trials, recA.Codec, recB.Codec, a, b); err != nil {
-				return nil, fmt.Errorf("%s/%g hybrid: %w", dist, d, err)
-			}
+			pairs := [][2]string{{recA.Codec, recB.Codec}}
 			for _, cand := range hybridCandidates {
-				m, err := measureHybridPair(cfg.Trials, cand, cand, a, b)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%g %s: %w", dist, d, cand, err)
-				}
+				pairs = append(pairs, [2]string{cand, cand})
+			}
+			ms, err := measureHybridPairs(cfg.Trials, pairs, a, b)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%g: %w", dist, d, err)
+			}
+			cell.Hybrid = ms[0]
+			for i, cand := range hybridCandidates {
+				m := ms[i+1]
 				cell.Candidates[cand] = m
 				if dominates(cfg, m, cell.Hybrid) {
 					cell.DominatedBy = append(cell.DominatedBy, cand)

@@ -6,6 +6,7 @@
 package index
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -67,6 +68,10 @@ func (b *Builder) AddDocument(text string) uint32 {
 	return id
 }
 
+// errNoCodec is the Build error for a CodecSelector that returns no
+// codec.
+var errNoCodec = errors.New("codec selector returned no codec")
+
 // shardAccum is one ingestion shard's term maps over a contiguous
 // document ID range. Ranges are disjoint and increasing, so per-term
 // lists from consecutive shards concatenate into exactly the list a
@@ -81,6 +86,9 @@ type shardAccum struct {
 // and compression over a term-level worker pool; the result is
 // bit-identical to a single-shard build.
 func (b *Builder) Build() (*Index, error) {
+	if b.codec == nil && b.selector == nil {
+		return nil, errors.New("index: builder has no codec")
+	}
 	shards := b.shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -171,7 +179,11 @@ func (b *Builder) Build() (*Index, error) {
 					// codec for every term.
 					codec = b.selector(list, len(b.texts))
 				}
-				p, err := codec.Compress(list)
+				var p core.Posting
+				err := errNoCodec
+				if codec != nil {
+					p, err = codec.Compress(list)
+				}
 				if err != nil {
 					errOnce.Do(func() { buildErr = fmt.Errorf("index: term %q: %w", t, err) })
 					failed.Store(true)

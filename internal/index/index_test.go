@@ -2,10 +2,12 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/codecs"
+	"repro/internal/core"
 )
 
 var docs = []string{
@@ -35,6 +37,30 @@ func buildTestIndex(t *testing.T, codecName string) *Index {
 		t.Fatal(err)
 	}
 	return idx
+}
+
+// TestBuildWithoutCodec: a builder with no codec, or a selector that
+// returns none, fails Build with an error instead of crashing a
+// compression worker.
+func TestBuildWithoutCodec(t *testing.T) {
+	b := NewBuilder(nil)
+	b.AddDocument("no codec here")
+	if _, err := b.Build(); err == nil {
+		t.Fatal("Build with a nil codec succeeded")
+	}
+	b = NewAutoBuilder()
+	for _, d := range docs {
+		b.AddDocument(d)
+	}
+	b.SetSelector(func(list []uint32, docs int) core.Codec {
+		if len(list) > 2 {
+			return nil
+		}
+		return AutoSelector()(list, docs)
+	})
+	if _, err := b.Build(); !errors.Is(err, errNoCodec) {
+		t.Fatalf("Build with a selector returning nil: err = %v, want errNoCodec", err)
+	}
 }
 
 func TestTokenize(t *testing.T) {

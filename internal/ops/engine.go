@@ -481,7 +481,7 @@ func unionInto(a *arena, postings []core.Posting) ([]uint32, error) {
 	return cur, nil
 }
 
-// unionManyInto merges k sorted lists with UnionMany's strategy
+// unionManyInto merges k sorted lists with UnionMany's merge strategy
 // (smallest-first pairwise, k-way heap when wide), drawing outputs from
 // the arena and recycling every consumed input. The lists segment and
 // its buffers are consumed; the result is arena-owned.

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 )
 
 // IntersectSorted is the reference merge intersection of plain lists.
@@ -177,13 +178,28 @@ func Union(postings []core.Posting) ([]uint32, error) {
 	return UnionMany(lists), nil
 }
 
-// heapWidth is the operand count above which UnionMany switches from
-// pairwise merging (O(N·k) worst case) to a k-way heap merge
-// (O(N log k)).
+// heapWidth is the operand count above which the sorted-list union
+// switches from pairwise merging (O(N·k) worst case) to a k-way heap
+// merge (O(N log k)).
 const heapWidth = 8
 
-// UnionMany merges k sorted lists: pairwise smallest-first for few
-// lists, a k-way heap merge for many (wide disjunctive queries).
+// bitsetDensity selects the bitset union: UnionMany ORs its operands
+// into a []uint64 bitset when Σ|Lᵢ|·bitsetDensity ≥ maxID+1, i.e. when
+// they hold at least one value per bitsetDensity ids of the universe
+// they span. The bitset then costs at most four bytes per input value,
+// no more than the inputs themselves. BenchmarkUnionManyDensity
+// (uniform lists over 2^20 ids, Intel Xeon, 2 vCPUs) puts the crossover
+// here for the narrowest union: at one value per 32 ids the bitset is
+// 1.1× faster than the merge with 2 operands, 2.0× with 4 and 3.9× with
+// 16; at one per 64 the 2-operand merge wins (150 vs 210 µs); at one
+// per 2 the bitset is 2.6–14× faster.
+const bitsetDensity = 32
+
+// UnionMany merges k sorted lists. Dense operands are ORed into a
+// bitset and extracted in order (the paper's bitmap union, §B.1);
+// sparse ones merge pairwise smallest-first for few lists and through a
+// k-way heap for many (wide disjunctive queries). It never writes into
+// the lists, though it may reorder the lists slice itself.
 func UnionMany(lists [][]uint32) []uint32 {
 	switch len(lists) {
 	case 0:
@@ -193,6 +209,45 @@ func UnionMany(lists [][]uint32) []uint32 {
 		copy(out, lists[0])
 		return out
 	}
+	if n := bitsetWords(lists); n > 0 {
+		return unionBitset(lists, n)
+	}
+	return unionMerge(lists)
+}
+
+// unionBitset ORs lists into a fresh bitset of nwords words, which must
+// cover the largest value, and extracts it into an exactly sized result.
+func unionBitset(lists [][]uint32, nwords int) []uint32 {
+	words := make([]uint64, nwords)
+	for _, l := range lists {
+		for _, v := range l {
+			words[v>>6] |= 1 << (v & 63)
+		}
+	}
+	return kernels.ExtractWords(make([]uint32, 0, kernels.PopcountWords(words)), words, 0)
+}
+
+// bitsetWords returns the length of the bitset covering lists when
+// their density selects the bitset union (see bitsetDensity), and 0
+// when they should be merged. It reads only each list's length and
+// last value.
+func bitsetWords(lists [][]uint32) int {
+	total, maxID := 0, uint32(0)
+	for _, l := range lists {
+		if n := len(l); n > 0 {
+			total += n
+			maxID = max(maxID, l[n-1])
+		}
+	}
+	if total == 0 || uint64(total)*bitsetDensity < uint64(maxID)+1 {
+		return 0
+	}
+	return int(maxID>>6) + 1
+}
+
+// unionMerge is the sorted-list union: pairwise smallest-first below
+// heapWidth operands, a k-way heap merge at or above it.
+func unionMerge(lists [][]uint32) []uint32 {
 	if len(lists) >= heapWidth {
 		return unionHeapMerge(lists)
 	}

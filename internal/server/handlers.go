@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"strconv"
 
@@ -138,6 +140,93 @@ type searchResponse struct {
 	TopK    *ops.TopKStats `json:"topk,omitempty"`
 }
 
+// writeSearch writes a 200 /search answer. The body is byte-identical to
+// json.NewEncoder(w).Encode(resp) — the same HTML escaping, omitempty
+// fields and trailing newline — so every client decodes it unchanged,
+// but the docs array, which dominates result-heavy answers, is appended
+// with strconv rather than reflection, into one buffer sized up front,
+// and the answer goes out in one write with its Content-Length.
+func writeSearch(w http.ResponseWriter, resp searchResponse) {
+	// The small fields keep encoding/json's escaping; Marshal cannot
+	// fail on strings and ints.
+	query, _ := json.Marshal(resp.Query)
+	mode, _ := json.Marshal(resp.Mode)
+	var ranked, topk []byte
+	if len(resp.Ranked) > 0 {
+		ranked, _ = json.Marshal(resp.Ranked)
+	}
+	if resp.TopK != nil {
+		topk, _ = json.Marshal(resp.TopK)
+	}
+	var num [20]byte
+	matches := strconv.AppendInt(num[:0], int64(resp.Matches), 10)
+
+	size := len(`{"query":`) + len(query) + len(`,"mode":`) + len(mode) +
+		len(`,"matches":`) + len(matches) + len("}\n")
+	if len(resp.Docs) > 0 {
+		size += len(`,"docs":[]`) + len(resp.Docs) - 1
+		for _, d := range resp.Docs {
+			size += decimalLen(d)
+		}
+	}
+	if ranked != nil {
+		size += len(`,"ranked":`) + len(ranked)
+	}
+	if topk != nil {
+		size += len(`,"topk":`) + len(topk)
+	}
+
+	buf := make([]byte, 0, size)
+	buf = append(buf, `{"query":`...)
+	buf = append(buf, query...)
+	buf = append(buf, `,"mode":`...)
+	buf = append(buf, mode...)
+	if len(resp.Docs) > 0 {
+		buf = append(buf, `,"docs":[`...)
+		for i, d := range resp.Docs {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendUint(buf, uint64(d), 10)
+		}
+		buf = append(buf, ']')
+	}
+	if ranked != nil {
+		buf = append(buf, `,"ranked":`...)
+		buf = append(buf, ranked...)
+	}
+	buf = append(buf, `,"matches":`...)
+	buf = append(buf, matches...)
+	if topk != nil {
+		buf = append(buf, `,"topk":`...)
+		buf = append(buf, topk...)
+	}
+	buf = append(buf, "}\n"...)
+
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(buf)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(buf); err != nil {
+		// The client went away; nothing useful to do.
+		_ = err
+	}
+}
+
+// pow10 holds the powers of ten a uint32 can reach.
+var pow10 = [...]uint32{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// decimalLen returns the number of decimal digits of v.
+func decimalLen(v uint32) int {
+	v |= 1 // same digit count, and 0 counts as one digit
+	// bitlen·log10(2) is floor(log10 v) or one more.
+	t := bits.Len32(v) * 1233 >> 12
+	if v < pow10[t] {
+		return t
+	}
+	return t + 1
+}
+
 // handleSearch answers conjunctive/disjunctive/top-k queries against
 // the current index snapshot. The snapshot is acquired once per request
 // and released when the response is written, so a concurrent hot reload
@@ -214,5 +303,5 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "mode must be and | or | topk"})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSearch(w, resp)
 }

@@ -189,7 +189,7 @@ func (s *Server) handleLiveSearch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "mode must be and | or | topk"})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSearch(w, resp)
 }
 
 // handleLiveSeal is live mode's POST /reload: force-seal the mutable

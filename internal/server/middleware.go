@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"time"
 )
 
@@ -168,11 +169,17 @@ func (b *bufferedResponse) Write(p []byte) (int, error) {
 	return b.body.Write(p)
 }
 
+// flushTo sends the buffered response. The whole body is known here, so
+// a body goes out with a Content-Length (unless the handler set one)
+// rather than chunked.
 func (b *bufferedResponse) flushTo(w http.ResponseWriter) {
 	for k, vs := range b.header {
 		for _, v := range vs {
 			w.Header().Add(k, v)
 		}
+	}
+	if b.body.Len() > 0 && b.header.Get("Content-Length") == "" {
+		w.Header().Set("Content-Length", strconv.Itoa(b.body.Len()))
 	}
 	w.WriteHeader(b.status)
 	if b.body.Len() > 0 {

@@ -77,6 +77,42 @@ func TestMiddlewareChain(t *testing.T) {
 	}
 }
 
+// TestBufferedResponseContentLength: a body buffered by the timeout
+// middleware is sent with its Content-Length, not chunked, and a
+// Content-Length the handler set itself is kept.
+func TestBufferedResponseContentLength(t *testing.T) {
+	s := newTestServer(t, Config{})
+	body := bytes.Repeat([]byte("0123456789"), 10<<10)
+	ts := httptest.NewServer(s.hardened(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("set") != "" {
+			w.Header().Set("Content-Length", "5")
+			w.Write(body[:5])
+			return
+		}
+		w.Write(body[:len(body)/2])
+		w.Write(body[len(body)/2:])
+	})))
+	defer ts.Close()
+	for _, c := range []struct {
+		path string
+		want int
+	}{{"/x", len(body)}, {"/x?set=1", 5}} {
+		resp, err := http.Get(ts.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != c.want || resp.ContentLength != int64(c.want) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: %d-byte body, Content-Length %d, Transfer-Encoding %v; want %d bytes with Content-Length",
+				c.path, len(got), resp.ContentLength, resp.TransferEncoding, c.want)
+		}
+	}
+}
+
 // TestLoadShedding checks the semaphore gate: with N slots occupied,
 // the (N+1)-th concurrent request is shed with 429 + Retry-After, and
 // capacity freed by a finishing request is reusable.

@@ -308,6 +308,31 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		IdleTimeout:  s.cfg.IdleTimeout,
 		ErrorLog:     s.log,
 	}
+	// Shutdown closes idle connections at once but treats a connection
+	// that has not sent a byte yet as busy for 5 s. A client transport
+	// that dialed a spare connection and never used it would hold the
+	// drain that long, so such connections are closed once the
+	// listener is: no request has started on them.
+	var (
+		connMu sync.Mutex
+		fresh  = map[net.Conn]struct{}{}
+	)
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		connMu.Lock()
+		defer connMu.Unlock()
+		if st == http.StateNew {
+			fresh[c] = struct{}{}
+		} else {
+			delete(fresh, c)
+		}
+	}
+	srv.RegisterOnShutdown(func() {
+		connMu.Lock()
+		defer connMu.Unlock()
+		for c := range fresh {
+			c.Close()
+		}
+	})
 	s.draining.Store(false)
 	s.ready.Store(true)
 	s.log.Printf("server: listening on %s (max in-flight %d, request timeout %s)",

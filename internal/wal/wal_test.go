@@ -87,6 +87,31 @@ func TestGroupCommitShares(t *testing.T) {
 	}
 }
 
+// TestGroupCommitClosesIdleBatch pins that the window only bounds how
+// long a batch may stay open: a lone append, which no other appender
+// joins, is synced without waiting the window out.
+func TestGroupCommitClosesIdleBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _, err := Open(path, Options{SyncEvery: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	done := make(chan error, 1)
+	go func() { done <- l.Append([]byte("lone")) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("lone append waited out the group-commit window")
+	}
+	if l.Pending() != 0 {
+		t.Fatalf("acked append left %d pending bytes", l.Pending())
+	}
+}
+
 // TestTornTailTruncated writes a clean log, appends garbage half-frames
 // of several shapes, and requires Open to replay exactly the clean
 // prefix and physically truncate the tail.
