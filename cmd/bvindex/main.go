@@ -19,6 +19,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -30,7 +31,6 @@ import (
 	"repro/internal/codecs"
 	"repro/internal/core"
 	"repro/internal/index"
-	"repro/internal/ops"
 	"repro/internal/shard"
 )
 
@@ -351,34 +351,19 @@ func runQuery(indexFile, query, mode string, k int, algo string, w io.Writer) er
 	}
 	defer idx.Close()
 	terms := index.Tokenize(query)
-	switch mode {
-	case "and":
-		docs, err := idx.Conjunctive(terms...)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "AND%v -> %d docs: %v\n", terms, len(docs), docs)
-	case "or":
-		docs, err := idx.Disjunctive(terms...)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "OR%v -> %d docs: %v\n", terms, len(docs), docs)
-	case "topk":
-		var stats ops.TopKStats
-		results, err := idx.TopKWith(algo, k, &stats, terms...)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "TOP%d%v [%s]:\n", k, terms, stats.Mode)
-		for _, r := range results {
+	ans, err := idx.Search(context.Background(), index.Query{Mode: mode, Terms: terms, K: k, Algo: algo})
+	if err != nil {
+		return err
+	}
+	if st := ans.TopK; st != nil {
+		fmt.Fprintf(w, "TOP%d%v [%s]:\n", k, terms, st.Mode)
+		for _, r := range ans.Ranked {
 			fmt.Fprintf(w, "  doc %d (score %d)\n", r.Doc, r.Score)
 		}
-		fmt.Fprintf(w, "  (%d/%d blocks decoded, %d docs scored)\n",
-			stats.BlocksDecoded, stats.BlocksTotal, stats.DocsScored)
-	default:
-		return fmt.Errorf("unknown mode %q (and | or | topk)", mode)
+		fmt.Fprintf(w, "  (%d/%d blocks decoded, %d docs scored)\n", st.BlocksDecoded, st.BlocksTotal, st.DocsScored)
+		return nil
 	}
+	fmt.Fprintf(w, "%s%v -> %d docs: %v\n", strings.ToUpper(mode), terms, len(ans.Docs), ans.Docs)
 	return nil
 }
 

@@ -1,12 +1,15 @@
 // Command bvrouter is the scatter-gather front of a doc-partitioned
 // deployment: it fans point/AND/OR/top-k queries out to every shard in
-// parallel, merges the per-shard answers exactly (sorted merge for
-// postings, strict-beat heap merge for rankings), and degrades
+// parallel, merges the per-shard answers exactly (a union for
+// postings, the strict-beat top-k merge for rankings), and degrades
 // gracefully when a shard is down — a partial answer with the dead
 // shards named, never a failed query. Tail latency is cut with
 // load-based pick-of-two replica routing and hedged requests: a backup
 // attempt fires on another replica after an adaptive p99-based delay
-// and the first success cancels the loser.
+// and the first success cancels the loser. It serves through the same
+// hardened front end as bvserve — URL limit (414), load shedding
+// (429), panic recovery, request timeout (504), request log, and a
+// /readyz that reports draining — with the same limits by default.
 //
 // Usage:
 //
@@ -15,10 +18,10 @@
 //	                                                        # 2 shards x 2 bvserve replicas
 //
 //	GET /search?q=compressed+lists&mode=and                 # same API as bvserve,
-//	GET /search?q=bitmap&mode=topk&k=3&algo=bmw             # plus partial/degradedShards
-//	GET /stats                                              # per-shard latency/hedge/degraded
+//	GET /search?q=bitmap&mode=topk&k=3&algo=bmw             # plus partial/degradedShards/shards
+//	GET /stats                                              # serving gauges + per-shard latency/hedge/degraded
 //	GET /healthz                                            # ok | partial | down
-//	GET /readyz
+//	GET /readyz                                             # ready | starting | draining
 package main
 
 import (
@@ -62,7 +65,7 @@ func run(ctx context.Context, args []string, logger *log.Logger) error {
 		shardTO  = fs.Duration("shard-timeout", 2*time.Second, "per-shard budget for one query, all attempts included")
 
 		maxTerms = fs.Int("max-terms", 16, "max query terms before 400")
-		maxK     = fs.Int("max-k", 100000, "max top-k before 400")
+		maxK     = fs.Int("max-k", 1000, "max top-k before 400 (keep it at most the shards' -max-k)")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
 	)
 	fs.SetOutput(logger.Writer())

@@ -11,14 +11,16 @@
 //	bvserve -live data/live -addr :8080
 //
 //	GET  /search?q=compressed+lists&mode=and
-//	GET  /search?q=bitmap&mode=topk&k=3
-//	GET  /stats
+//	GET  /search?q=bitmap&mode=topk&k=3&algo=bmw
+//	GET  /stats          serving gauges + index (or live segment) shape
 //	GET  /healthz        liveness probe
 //	GET  /readyz         readiness probe (503 while starting or draining)
 //	POST /reload         hot-swap the index from the original source
 //
-// With -live DIR the server fronts the WAL-backed mutable index in DIR
-// instead of a static file: POST /ingest {"text": ...} and POST
+// /search takes the same parameters, limits and status codes in static
+// and live mode, and as behind bvrouter (see the README contract
+// table). With -live DIR the server fronts the WAL-backed mutable index
+// in DIR instead of a static file: POST /ingest {"text": ...} and POST
 // /delete {"doc": N} become available (acked only after the WAL
 // fsync, so acked writes survive kill -9), /reload force-seals the
 // mutable segment, and /stats reports per-segment depth and WAL

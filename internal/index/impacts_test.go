@@ -90,7 +90,7 @@ func bruteIndexTopK(t *testing.T, idx *Index, k int, terms ...string) []Result {
 	}
 	all := make([]Result, 0, len(scores))
 	for d, s := range scores {
-		all = append(all, Result{Doc: d, Score: s})
+		all = append(all, Result{Doc: d, Score: uint32(s)})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Score != all[j].Score {

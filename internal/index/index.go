@@ -430,12 +430,6 @@ func (idx *Index) Disjunctive(terms ...string) ([]uint32, error) {
 	return ops.Union(ps)
 }
 
-// Result is one ranked document.
-type Result struct {
-	Doc   uint32
-	Score int
-}
-
 // TopK ranks the documents matching at least one query term by summed
 // quantized impact, descending (ascending docid on ties), and returns
 // the best k. It runs the engine's pruned document-at-a-time evaluation:
@@ -455,30 +449,17 @@ func (idx *Index) TopK(k int, terms ...string) ([]Result, error) {
 // is for benchmarking and differential testing. When stats is non-nil
 // it is filled with the evaluation's work counters.
 func (idx *Index) TopKWith(algo string, k int, stats *ops.TopKStats, terms ...string) ([]Result, error) {
-	var mode ops.TopKMode
 	lists, native := idx.topkLists(terms)
-	switch algo {
-	case "", "auto":
+	mode, ok := topkModes[algo]
+	switch {
+	case ok:
+	case algo == "" || algo == "auto":
 		mode = ops.TopKExhaustive
 		if native {
 			mode = ops.TopKBlockMax
 		}
-	case "exhaustive":
-		mode = ops.TopKExhaustive
-	case "maxscore":
-		mode = ops.TopKMaxScore
-	case "bmw":
-		mode = ops.TopKBlockMax
 	default:
 		return nil, fmt.Errorf("index: unknown top-k algorithm %q", algo)
 	}
-	docs := ops.Default().TopK(mode, k, lists, stats)
-	if len(docs) == 0 {
-		return nil, nil
-	}
-	results := make([]Result, len(docs))
-	for i, d := range docs {
-		results[i] = Result{Doc: d.Doc, Score: int(d.Score)}
-	}
-	return results, nil
+	return ops.Default().TopK(mode, k, lists, stats), nil
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultio"
+	"repro/internal/ops"
 	"repro/internal/wal"
 )
 
@@ -283,6 +285,17 @@ func (l *Live) visibleLocked(doc uint32) bool {
 func (l *Live) maskedLocked(doc uint32, epoch int) bool {
 	bound, ok := l.tombBounds[doc]
 	return ok && bound >= epoch
+}
+
+// maskedInLocked counts the tombstones masking documents of seg.
+func (l *Live) maskedInLocked(seg *sealedSeg) int {
+	n := 0
+	for _, d := range l.tombSorted {
+		if seg.ranges.contains(d) && l.tombBounds[d] >= seg.epoch {
+			n++
+		}
+	}
+	return n
 }
 
 func (l *Live) rebuildTombSorted() {
@@ -880,178 +893,138 @@ func (l *Live) maskGlobals(list []uint32, epoch int) []uint32 {
 	return out
 }
 
-// pseudoSegs enumerates the query targets: sealed segments first (file
-// order), then the frozen segment, then the mutable one. Caller holds
-// mu shared.
+// memView is one in-memory query target with the epoch its documents
+// are masked at. Caller holds mu shared.
 type memView struct {
 	m     *MemSegment
 	epoch int
-	mask  bool // apply tombstone masking (frozen only)
 }
 
+// memViews enumerates the in-memory query targets: the frozen segment
+// (while a seal is in flight), then the mutable one. Every tombstone
+// bound is below the mutable epoch, so masking never removes a mutable
+// document — its deletes are physical.
 func (l *Live) memViews() []memView {
 	var out []memView
 	if l.frozen != nil {
-		out = append(out, memView{l.frozen, l.frozenEpoch, true})
+		out = append(out, memView{l.frozen, l.frozenEpoch})
 	}
-	out = append(out, memView{l.mem, l.epoch, false})
-	return out
+	return append(out, memView{l.mem, l.epoch})
+}
+
+// Search answers q across every segment with deletions masked —
+// exactly what Search on a from-scratch index over the surviving
+// documents returns. Segment answers are disjoint (a document is
+// visible in one segment only), so postings merge by union and rankings
+// by ops.MergeTopK; a top-k answer carries the sealed segments' summed
+// work counters. ctx is checked between segments.
+//
+// Everything but the segment queries happens in helpers: a request's
+// goroutine stack grows by copying, so the frames held while a segment
+// evaluates q are kept small.
+func (l *Live) Search(ctx context.Context, q Query) (Answer, error) {
+	if err := q.Validate(); err != nil {
+		return Answer{}, err
+	}
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	p, k := new(liveParts), q.K
+	for _, seg := range l.sealed {
+		if err := ctx.Err(); err != nil {
+			return Answer{}, err
+		}
+		if seg.quarantined {
+			continue
+		}
+		if q.Mode == "topk" {
+			// Ask for k plus the tombstones that could mask this
+			// segment's results, so masking never starves the merge.
+			q.K = k + l.maskedInLocked(seg)
+		}
+		a, err := seg.snap.Index().Search(ctx, q)
+		if err != nil {
+			return Answer{}, err
+		}
+		l.addSealed(p, seg, a)
+	}
+	q.K = k
+	return l.mergeLocked(p, q), nil
+}
+
+// liveParts collects one Live.Search's per-segment answers, in global
+// ids and masked, for the merge.
+type liveParts struct {
+	docs   [][]uint32
+	ranked [][]Result
+	stats  ops.TopKStats
+}
+
+// addSealed adds a sealed segment's answer, mapped to global ids, to p.
+func (l *Live) addSealed(p *liveParts, seg *sealedSeg, a Answer) {
+	if a.TopK != nil {
+		p.stats.Add(*a.TopK)
+	}
+	if len(a.Docs) > 0 {
+		a.Docs = seg.ranges.globals(a.Docs)
+	}
+	for i := range a.Ranked {
+		a.Ranked[i].Doc = seg.ranges.toGlobal(a.Ranked[i].Doc)
+	}
+	l.addPart(p, &a, seg.epoch)
+}
+
+// mergeLocked adds the in-memory segments' answers to p and merges
+// every part into q's answer.
+func (l *Live) mergeLocked(p *liveParts, q Query) Answer {
+	for _, v := range l.memViews() {
+		a := v.m.search(q)
+		l.addPart(p, &a, v.epoch)
+	}
+	if q.Mode != "topk" {
+		return Answer{Docs: ops.UnionMany(p.docs)}
+	}
+	return Answer{Ranked: ops.MergeTopK(q.K, p.ranked), TopK: &p.stats}
+}
+
+// addPart adds one segment's answer to p, without the documents a
+// tombstone masks at the segment's epoch.
+func (l *Live) addPart(p *liveParts, a *Answer, epoch int) {
+	if g := l.maskGlobals(a.Docs, epoch); len(g) > 0 {
+		p.docs = append(p.docs, g)
+	}
+	ranked := a.Ranked
+	if len(l.tombSorted) > 0 {
+		ranked = ranked[:0]
+		for _, r := range a.Ranked {
+			if !l.maskedLocked(r.Doc, epoch) {
+				ranked = append(ranked, r)
+			}
+		}
+	}
+	p.ranked = append(p.ranked, ranked)
 }
 
 // Conjunctive answers an AND query across every segment.
 func (l *Live) Conjunctive(terms ...string) ([]uint32, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var lists [][]uint32
-	for _, seg := range l.sealed {
-		if seg.quarantined {
-			continue
-		}
-		local, err := seg.snap.Index().Conjunctive(terms...)
-		if err != nil {
-			return nil, err
-		}
-		if len(local) == 0 {
-			continue
-		}
-		g := l.maskGlobals(seg.ranges.globals(local), seg.epoch)
-		if len(g) > 0 {
-			lists = append(lists, g)
-		}
-	}
-	for _, v := range l.memViews() {
-		g := memConjunctive(v.m, terms)
-		if v.mask {
-			g = l.maskGlobals(g, v.epoch)
-		}
-		if len(g) > 0 {
-			lists = append(lists, g)
-		}
-	}
-	return mergeDisjoint(lists), nil
+	a, err := l.Search(context.Background(), Query{Mode: "and", Terms: terms})
+	return a.Docs, err
 }
 
 // Disjunctive answers an OR query across every segment.
 func (l *Live) Disjunctive(terms ...string) ([]uint32, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var lists [][]uint32
-	for _, seg := range l.sealed {
-		if seg.quarantined {
-			continue
-		}
-		local, err := seg.snap.Index().Disjunctive(terms...)
-		if err != nil {
-			return nil, err
-		}
-		if len(local) == 0 {
-			continue
-		}
-		g := l.maskGlobals(seg.ranges.globals(local), seg.epoch)
-		if len(g) > 0 {
-			lists = append(lists, g)
-		}
-	}
-	for _, v := range l.memViews() {
-		g := memDisjunctive(v.m, terms)
-		if v.mask {
-			g = l.maskGlobals(g, v.epoch)
-		}
-		if len(g) > 0 {
-			lists = append(lists, g)
-		}
-	}
-	return mergeDisjoint(lists), nil
-}
-
-// mergeDisjoint k-way merges ascending lists with no duplicates across
-// them (a document is visible in exactly one segment).
-func mergeDisjoint(lists [][]uint32) []uint32 {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]uint32, 0, total)
-	idxs := make([]int, len(lists))
-	for {
-		best := -1
-		for i, l := range lists {
-			if idxs[i] >= len(l) {
-				continue
-			}
-			if best < 0 || l[idxs[i]] < lists[best][idxs[best]] {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, lists[best][idxs[best]])
-		idxs[best]++
-	}
+	a, err := l.Search(context.Background(), Query{Mode: "or", Terms: terms})
+	return a.Docs, err
 }
 
 // TopK ranks across every segment by summed quantized impact (score
 // descending, docid ascending on ties) — identical to TopK on a
-// from-scratch index over the surviving documents. Each sealed segment
-// is asked for k plus the number of tombstones that could mask its
-// results, so masking can never starve the merged candidate set.
+// from-scratch index over the surviving documents.
 func (l *Live) TopK(k int, terms ...string) ([]Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if k <= 0 {
 		return nil, nil
 	}
-	var cands []Result
-	for _, seg := range l.sealed {
-		if seg.quarantined {
-			continue
-		}
-		extra := 0
-		for _, d := range l.tombSorted {
-			if seg.ranges.contains(d) && l.tombBounds[d] >= seg.epoch {
-				extra++
-			}
-		}
-		rs, err := seg.snap.Index().TopKWith("auto", k+extra, nil, terms...)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rs {
-			g := seg.ranges.toGlobal(r.Doc)
-			if l.maskedLocked(g, seg.epoch) {
-				continue
-			}
-			cands = append(cands, Result{Doc: g, Score: r.Score})
-		}
-	}
-	for _, v := range l.memViews() {
-		for d, s := range memScores(v.m, terms) {
-			if v.mask && l.maskedLocked(d, v.epoch) {
-				continue
-			}
-			cands = append(cands, Result{Doc: d, Score: int(s)})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].Doc < cands[j].Doc
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	if len(cands) == 0 {
-		return nil, nil
-	}
-	return cands, nil
+	a, err := l.Search(context.Background(), Query{Mode: "topk", Terms: terms, K: k})
+	return a.Ranked, err
 }
 
 // LiveStats is the live index's gauge set for /stats.
@@ -1094,13 +1067,7 @@ func (l *Live) Stats() LiveStats {
 	}
 	visible := l.mem.Docs() + s.FrozenDocs
 	for _, seg := range l.sealed {
-		n := seg.ranges.total()
-		for _, d := range l.tombSorted {
-			if seg.ranges.contains(d) && l.tombBounds[d] >= seg.epoch {
-				n--
-			}
-		}
-		visible += n
+		visible += seg.ranges.total() - l.maskedInLocked(seg)
 		if seg.quarantined {
 			s.QuarantinedSegments++
 		}

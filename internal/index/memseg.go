@@ -127,6 +127,23 @@ func (m *MemSegment) Postings(term string) ([]uint32, []uint16) {
 	return m.postings[term], m.freqs[term]
 }
 
+// search answers q over the segment in global ids: every document
+// matching a top-k query is scored, unordered.
+func (m *MemSegment) search(q Query) Answer {
+	switch q.Mode {
+	case "and":
+		return Answer{Docs: memConjunctive(m, q.Terms)}
+	case "or":
+		return Answer{Docs: memDisjunctive(m, q.Terms)}
+	}
+	scores := memScores(m, q.Terms)
+	ranked := make([]Result, 0, len(scores))
+	for d, s := range scores {
+		ranked = append(ranked, Result{Doc: d, Score: s})
+	}
+	return Answer{Ranked: ranked}
+}
+
 // memConjunctive intersects the segment's posting lists for terms.
 func memConjunctive(m *MemSegment, terms []string) []uint32 {
 	if len(terms) == 0 {

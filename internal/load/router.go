@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/codecs"
 	"repro/internal/index"
+	"repro/internal/server"
 	"repro/internal/shard"
 )
 
@@ -19,7 +20,7 @@ import (
 // run: the corpus doc-partitioned across n shard servers — real
 // bvserve subprocesses when a binary is provided (real SIGKILL), else
 // in-process servers — fronted by an in-process bvrouter-equivalent
-// shard.Server. The load generator points at the router's BaseURL and
+// shard.NewServer. The load generator points at the router's BaseURL and
 // needs no changes: the router's /search response is a superset of
 // bvserve's, so the same ground-truth checker applies, and a killed
 // shard surfaces as a documented degraded partial, never a blast.
@@ -30,7 +31,7 @@ type RouterRig struct {
 	log   *log.Logger
 
 	mu     sync.Mutex
-	srv    *shard.Server
+	srv    *server.Server
 	addr   string
 	cancel context.CancelFunc
 	done   chan error

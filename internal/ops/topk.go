@@ -138,8 +138,10 @@ func (h *topkHeap) threshold() int64 {
 	return int64(h.items[0].Score)
 }
 
-// offer inserts d if it beats the threshold. Candidates arrive in
-// increasing docid order, so a candidate tying the root always loses.
+// offer inserts d if it strictly beats the root under (score desc, doc
+// asc). The scorers offer candidates in increasing docid order, so for
+// them a candidate tying the root's score always loses; MergeTopK's
+// inputs arrive in any order, and the docid decides their ties.
 func (h *topkHeap) offer(d ScoredDoc) {
 	if len(h.items) < h.k {
 		h.items = append(h.items, d)
@@ -155,7 +157,7 @@ func (h *topkHeap) offer(d ScoredDoc) {
 		}
 		return
 	}
-	if int64(d.Score) <= int64(h.items[0].Score) {
+	if !worse(h.items[0], d) {
 		return
 	}
 	h.items[0] = d
@@ -183,6 +185,42 @@ func (h *topkHeap) sorted() []ScoredDoc {
 	out := h.items
 	sort.Slice(out, func(i, j int) bool { return worse(out[j], out[i]) })
 	return out
+}
+
+// Add accumulates o's work counters into s, for an answer assembled
+// from several evaluations (segments of a live index). Mode is "mixed"
+// when the evaluations ran different algorithms.
+func (s *TopKStats) Add(o TopKStats) {
+	switch s.Mode {
+	case "":
+		s.Mode = o.Mode
+	case o.Mode:
+	default:
+		s.Mode = "mixed"
+	}
+	s.Lists += o.Lists
+	s.Postings += o.Postings
+	s.BlocksTotal += o.BlocksTotal
+	s.BlocksDecoded += o.BlocksDecoded
+	s.DocsScored += o.DocsScored
+}
+
+// MergeTopK returns the k best results across lists, best first, under
+// the strict-beat order every top-k evaluation emits: score descending,
+// ties to the lower doc id. The lists may hold their results in any
+// order; a document must appear in at most one of them. It is the one
+// merge for answers ranked piecewise — per live segment, per shard.
+func MergeTopK(k int, lists [][]ScoredDoc) []ScoredDoc {
+	if k <= 0 {
+		return nil
+	}
+	h := &topkHeap{k: k}
+	for _, l := range lists {
+		for _, d := range l {
+			h.offer(d)
+		}
+	}
+	return h.sorted()
 }
 
 // TopK returns the k highest-scoring documents across lists under the

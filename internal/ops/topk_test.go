@@ -204,3 +204,34 @@ func TestTopKStatsCounters(t *testing.T) {
 		t.Fatalf("mode = %q", stats.Mode)
 	}
 }
+
+// TestMergeTopK: the piecewise merge returns the k best of the union
+// under strict-beat order even when its inputs are not in doc order,
+// so a score tie always goes to the lower doc id.
+func TestMergeTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 200; round++ {
+		var all []ScoredDoc
+		lists := make([][]ScoredDoc, 1+rng.Intn(5))
+		for d := uint32(0); d < uint32(rng.Intn(60)); d++ {
+			sd := ScoredDoc{Doc: d, Score: uint32(rng.Intn(4))} // few scores: many ties
+			all = append(all, sd)
+			i := rng.Intn(len(lists))
+			lists[i] = append(lists[i], sd)
+		}
+		for _, l := range lists {
+			rng.Shuffle(len(l), func(i, j int) { l[i], l[j] = l[j], l[i] })
+		}
+		sort.Slice(all, func(i, j int) bool { return worse(all[j], all[i]) })
+		k := 1 + rng.Intn(20)
+		if len(all) > k {
+			all = all[:k]
+		}
+		if got := MergeTopK(k, lists); len(all) == 0 && len(got) != 0 || len(all) > 0 && !reflect.DeepEqual(got, all) {
+			t.Fatalf("round %d k=%d: got %v, want %v", round, k, got, all)
+		}
+	}
+	if got := MergeTopK(0, [][]ScoredDoc{{{Doc: 1, Score: 1}}}); got != nil {
+		t.Fatalf("k=0: got %v", got)
+	}
+}

@@ -1,32 +1,37 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/bits"
 	"net/http"
+	"net/url"
 	"strconv"
+	"time"
 
 	"repro/internal/index"
 	"repro/internal/ops"
 )
 
 // Handler builds the full route set. Application routes (/search,
-// /stats, /reload, Config.Routes) run inside the validation, load
-// shedding, and timeout middleware; the probes /healthz and /readyz
-// bypass those gates so they stay answerable under full load. Logging
-// and panic recovery wrap everything.
+// /stats, /reload, /ingest, /delete, Config.Routes) run inside the
+// validation, load shedding, and timeout middleware; the probes
+// /healthz and /readyz bypass those gates so they stay answerable under
+// full load. Logging and panic recovery wrap everything. /search and
+// /stats are the same in every mode; the write routes exist only where
+// the mode has something to write.
 func (s *Server) Handler() http.Handler {
 	app := http.NewServeMux()
-	if s.live != nil {
-		app.HandleFunc("/search", s.handleLiveSearch)
-		app.HandleFunc("/stats", s.handleLiveStats)
+	app.HandleFunc("/search", s.handleSearch)
+	app.HandleFunc("/stats", s.handleStats)
+	switch {
+	case s.live != nil:
 		app.HandleFunc("/reload", s.handleLiveSeal)
 		app.HandleFunc("/ingest", s.handleIngest)
 		app.HandleFunc("/delete", s.handleDelete)
-	} else {
-		app.HandleFunc("/search", s.handleSearch)
-		app.HandleFunc("/stats", s.handleStats)
+	case s.router == nil:
 		app.HandleFunc("/reload", s.handleReload)
 	}
 	if s.cfg.Routes != nil {
@@ -37,36 +42,68 @@ func (s *Server) Handler() http.Handler {
 	inner = s.validateURL(inner)
 
 	root := http.NewServeMux()
-	if s.live != nil {
-		root.HandleFunc("/healthz", s.handleLiveHealthz)
-	} else {
-		root.HandleFunc("/healthz", s.handleHealthz)
-	}
+	root.HandleFunc("/healthz", s.handleHealthz)
 	root.HandleFunc("/readyz", s.handleReadyz)
 	root.Handle("/", inner)
 	return s.logRequests(s.recoverPanics(root))
 }
 
 // handleHealthz is the liveness probe: the process is up and able to
-// answer HTTP. It additionally reports whether the served index is
-// degraded — opened in salvage mode with sections quarantined — so
-// operators monitoring /healthz see corruption the moment a degraded
-// index starts serving. Degraded is still 200: the process is alive
-// and serving what it can; see the corruption-recovery runbook.
+// answer HTTP. It additionally reports degradation, still with 200 —
+// the process is alive and serving what it can; see the
+// corruption-recovery runbook:
+//
+//   - static: the index opened in salvage mode with sections
+//     quarantined;
+//   - live: a sealed segment failed its checksums and is quarantined,
+//     while the mutable segment (and every healthy sealed segment) keeps
+//     serving and accepting writes;
+//   - routed: every replica is live-probed; shards with no healthy
+//     replica make the fleet "partial", and with none left it is
+//     "down" with 503.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	snap := s.acquire()
-	defer snap.Release()
-	h := snap.Index().Health()
-	if !h.Degraded {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	switch {
+	case s.live != nil:
+		h := s.live.Health()
+		if !h.Degraded {
+			break
+		}
+		writeJSON(w, http.StatusOK, map[string]interface{}{
+			"status":              "degraded",
+			"detail":              "sealed segment quarantined, mutable segment live",
+			"quarantinedSegments": h.QuarantinedSegments,
+			"mutableLive":         h.MutableLive,
+		})
+		return
+	case s.router != nil:
+		ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
+		defer cancel()
+		down, n := s.router.Health(ctx), s.router.Shards()
+		switch {
+		case len(down) == 0:
+			writeJSON(w, http.StatusOK, map[string]interface{}{"status": "ok", "shards": n})
+		case len(down) < n:
+			writeJSON(w, http.StatusOK, map[string]interface{}{"status": "partial", "shards": n, "shardsDown": down})
+		default:
+			writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{"status": "down", "shards": n, "shardsDown": down})
+		}
+		return
+	default:
+		snap := s.acquire()
+		h := snap.Index().Health()
+		snap.Release()
+		if !h.Degraded {
+			break
+		}
+		writeJSON(w, http.StatusOK, map[string]interface{}{
+			"status":              "degraded",
+			"quarantinedSections": h.QuarantinedSections,
+			"quarantinedTerms":    h.QuarantinedTerms,
+			"quarantinedImpacts":  h.QuarantinedImpacts,
+		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"status":              "degraded",
-		"quarantinedSections": h.QuarantinedSections,
-		"quarantinedTerms":    h.QuarantinedTerms,
-		"quarantinedImpacts":  h.QuarantinedImpacts,
-	})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is the readiness probe: 200 only while serving traffic,
@@ -107,37 +144,61 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleStats reports the served index shape plus serving-side gauges.
+// handleStats reports the serving-side gauges every mode shares —
+// in-flight, sheds, readiness, queries, the latency histogram and the
+// status classes — plus the shape of what is served: the static index
+// and its reload generation, the live segments, or the router's
+// per-shard latency / hedge / degraded rows.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.acquire()
-	defer snap.Release()
-	idx := snap.Index()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"documents":       idx.Docs(),
-		"terms":           idx.Terms(),
-		"compressedBytes": idx.SizeBytes(),
-		"inFlight":        s.inFlight.Load(),
-		"reloads":         s.Reloads(),
-		"generation":      s.Generation(),
-		"sheds":           s.Sheds(),
-		"ready":           s.Ready(),
-		"health":          idx.Health(),
-		"postingCache":    s.CacheStats(),
-		"latency":         s.LatencySummary(),
-		"statuses":        s.StatusCounts(),
-	})
+	st := map[string]interface{}{
+		"inFlight": s.inFlight.Load(),
+		"sheds":    s.Sheds(),
+		"ready":    s.Ready(),
+		"queries":  s.queries.Load(),
+		"latency":  s.LatencySummary(),
+		"statuses": s.StatusCounts(),
+	}
+	switch {
+	case s.live != nil:
+		ls := s.live.Stats()
+		st["documents"] = ls.VisibleDocs
+		st["live"] = ls
+		st["ingestSheds"] = s.IngestSheds()
+		st["health"] = s.live.Health()
+	case s.router != nil:
+		st["shards"] = s.router.Shards()
+		st["partialAnswers"] = s.partial.Load()
+		st["perShard"] = s.perShard()
+	default:
+		snap := s.acquire()
+		defer snap.Release()
+		idx := snap.Index()
+		st["documents"] = idx.Docs()
+		st["terms"] = idx.Terms()
+		st["compressedBytes"] = idx.SizeBytes()
+		st["reloads"] = s.Reloads()
+		st["generation"] = s.Generation()
+		st["health"] = idx.Health()
+		st["postingCache"] = s.CacheStats()
+	}
+	writeJSON(w, http.StatusOK, st)
 }
 
-// searchResponse is the /search JSON shape. TopK carries the pruning
-// work counters for ranked queries, so callers (and the load harness)
-// can see how many blocks the chosen algorithm actually decoded.
+// searchResponse is the /search JSON shape, one for every mode. TopK
+// carries the pruning work counters for ranked queries, so callers (and
+// the load harness) can see how many blocks the chosen algorithm
+// actually decoded. Partial, DegradedShards and Shards are set only by
+// a routed server; Partial is then always present.
 type searchResponse struct {
-	Query   []string       `json:"query"`
-	Mode    string         `json:"mode"`
-	Docs    []uint32       `json:"docs,omitempty"`
-	Ranked  []index.Result `json:"ranked,omitempty"`
-	Matches int            `json:"matches"`
-	TopK    *ops.TopKStats `json:"topk,omitempty"`
+	Query          []string       `json:"query"`
+	Mode           string         `json:"mode"`
+	Docs           []uint32       `json:"docs,omitempty"`
+	Ranked         []index.Result `json:"ranked,omitempty"`
+	Matches        int            `json:"matches"`
+	TopK           *ops.TopKStats `json:"topk,omitempty"`
+	Partial        *bool          `json:"partial,omitempty"`
+	DegradedShards []int          `json:"degradedShards,omitempty"`
+	Shards         int            `json:"shards,omitempty"`
 }
 
 // writeSearch writes a 200 /search answer. The body is byte-identical to
@@ -151,12 +212,22 @@ func writeSearch(w http.ResponseWriter, resp searchResponse) {
 	// fail on strings and ints.
 	query, _ := json.Marshal(resp.Query)
 	mode, _ := json.Marshal(resp.Mode)
-	var ranked, topk []byte
+	var ranked, topk, routed []byte
 	if len(resp.Ranked) > 0 {
 		ranked, _ = json.Marshal(resp.Ranked)
 	}
 	if resp.TopK != nil {
 		topk, _ = json.Marshal(resp.TopK)
+	}
+	if resp.Partial != nil {
+		routed = strconv.AppendBool(append(routed, `,"partial":`...), *resp.Partial)
+	}
+	if len(resp.DegradedShards) > 0 {
+		d, _ := json.Marshal(resp.DegradedShards)
+		routed = append(append(routed, `,"degradedShards":`...), d...)
+	}
+	if resp.Shards != 0 {
+		routed = strconv.AppendInt(append(routed, `,"shards":`...), int64(resp.Shards), 10)
 	}
 	var num [20]byte
 	matches := strconv.AppendInt(num[:0], int64(resp.Matches), 10)
@@ -175,6 +246,7 @@ func writeSearch(w http.ResponseWriter, resp searchResponse) {
 	if topk != nil {
 		size += len(`,"topk":`) + len(topk)
 	}
+	size += len(routed)
 
 	buf := make([]byte, 0, size)
 	buf = append(buf, `{"query":`...)
@@ -201,6 +273,7 @@ func writeSearch(w http.ResponseWriter, resp searchResponse) {
 		buf = append(buf, `,"topk":`...)
 		buf = append(buf, topk...)
 	}
+	buf = append(buf, routed...)
 	buf = append(buf, "}\n"...)
 
 	h := w.Header()
@@ -227,81 +300,102 @@ func decimalLen(v uint32) int {
 	return t + 1
 }
 
-// handleSearch answers conjunctive/disjunctive/top-k queries against
-// the current index snapshot. The snapshot is acquired once per request
-// and released when the response is written, so a concurrent hot reload
-// never changes the index mid-query and never unmaps bytes a query is
-// still reading.
+// handleSearch answers /search in every mode: parse and validate once,
+// then hand the query to whatever this server fronts.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	snap := s.acquire()
-	defer snap.Release()
-	idx := snap.Index()
-	terms := index.Tokenize(r.URL.Query().Get("q"))
-	if len(terms) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing or empty q parameter"})
+	q, err := s.parseSearch(r.URL.Query())
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	if len(terms) > s.cfg.MaxQueryTerms {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("query has %d terms, limit is %d", len(terms), s.cfg.MaxQueryTerms),
-		})
-		return
-	}
-	mode := r.URL.Query().Get("mode")
-	if mode == "" {
-		mode = "and"
-	}
-	resp := searchResponse{Query: terms, Mode: mode}
-	switch mode {
-	case "and":
-		docs, err := idx.Conjunctive(terms...)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		resp.Docs, resp.Matches = docs, len(docs)
-	case "or":
-		docs, err := idx.Disjunctive(terms...)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		resp.Docs, resp.Matches = docs, len(docs)
-	case "topk":
-		k := 10
-		if ks := r.URL.Query().Get("k"); ks != "" {
-			var err error
-			if k, err = strconv.Atoi(ks); err != nil || k < 1 {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad k parameter"})
-				return
-			}
-		}
-		if k > s.cfg.MaxK {
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": fmt.Sprintf("k=%d exceeds limit %d", k, s.cfg.MaxK),
-			})
-			return
-		}
-		algo := r.URL.Query().Get("algo")
-		switch algo {
-		case "", "auto", "exhaustive", "maxscore", "bmw":
-		default:
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": "algo must be auto | exhaustive | maxscore | bmw",
-			})
-			return
-		}
-		var stats ops.TopKStats
-		ranked, err := idx.TopKWith(algo, k, &stats, terms...)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		resp.Ranked, resp.Matches = ranked, len(ranked)
-		resp.TopK = &stats
+	s.queries.Add(1)
+	var (
+		surface searcher
+		snap    *index.Snapshot
+	)
+	switch {
+	case s.live != nil:
+		surface = s.live
+	case s.router != nil:
+		surface = s.router
 	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "mode must be and | or | topk"})
+		snap = s.acquire()
+		surface = snap.Index()
+	}
+	ans, err := surface.Search(r.Context(), q)
+	if snap != nil {
+		// Held for the query only — answers own their slices — so a
+		// concurrent hot reload never changes the index mid-query and
+		// never unmaps bytes a query is still reading.
+		snap.Release()
+	}
+	if err != nil {
+		status := http.StatusInternalServerError
+		if s.router != nil {
+			status = http.StatusServiceUnavailable // every shard failed
+		}
+		writeJSON(w, status, map[string]string{"error": err.Error()})
 		return
+	}
+	s.writeAnswer(w, q, ans)
+}
+
+// searcher is the query surface a server fronts: *index.Index (the
+// current snapshot's), *index.Live, or a Router.
+type searcher interface {
+	Search(ctx context.Context, q index.Query) (index.Answer, error)
+}
+
+// writeAnswer writes the 200 response for q's answer; a routed server
+// adds the partial-coverage keys and logs a partial answer. It is kept
+// out of handleSearch so the response is not on the stack while the
+// query runs: the request goroutine's stack starts small and grows by
+// copying, and every frame it holds during the search costs that copy.
+func (s *Server) writeAnswer(w http.ResponseWriter, q index.Query, ans index.Answer) {
+	resp := searchResponse{
+		Query:   q.Terms,
+		Mode:    q.Mode,
+		Docs:    ans.Docs,
+		Ranked:  ans.Ranked,
+		Matches: len(ans.Docs) + len(ans.Ranked),
+		TopK:    ans.TopK,
+	}
+	if s.router != nil {
+		partial := ans.Partial
+		resp.Partial, resp.DegradedShards, resp.Shards = &partial, ans.Degraded, s.router.Shards()
+		if ans.Partial {
+			s.partial.Add(1)
+			s.log.Printf("server: query %v: %d of %d shards degraded %v, results partial",
+				q.Terms, len(ans.Degraded), resp.Shards, ans.Degraded)
+		}
 	}
 	writeSearch(w, resp)
+}
+
+// parseSearch is the one parser and validator of /search parameters:
+// q (tokenized, 1..MaxQueryTerms terms), mode (default "and"), and for
+// topk k (default 10, at most MaxK) and algo.
+func (s *Server) parseSearch(v url.Values) (index.Query, error) {
+	q := index.Query{Mode: v.Get("mode"), Terms: index.Tokenize(v.Get("q"))}
+	switch {
+	case len(q.Terms) == 0:
+		return q, errors.New("missing or empty q parameter")
+	case len(q.Terms) > s.cfg.MaxQueryTerms:
+		return q, fmt.Errorf("query has %d terms, limit is %d", len(q.Terms), s.cfg.MaxQueryTerms)
+	case q.Mode == "":
+		q.Mode = "and"
+	case q.Mode == "topk":
+		q.K, q.Algo = 10, v.Get("algo")
+		if ks := v.Get("k"); ks != "" {
+			k, err := strconv.Atoi(ks)
+			if err != nil || k < 1 {
+				return q, errors.New("bad k parameter")
+			}
+			q.K = k
+		}
+		if q.K > s.cfg.MaxK {
+			return q, fmt.Errorf("k=%d exceeds limit %d", q.K, s.cfg.MaxK)
+		}
+	}
+	return q, q.Validate()
 }

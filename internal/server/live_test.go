@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -197,5 +198,57 @@ func TestLiveServerDurableAcrossRestart(t *testing.T) {
 	}
 	if out["matches"].(float64) != 2 {
 		t.Fatalf("restarted server lost acked writes: %v", out)
+	}
+}
+
+// TestLiveSearchAlgo: live /search validates algo like the static and
+// routed front ends, and every pinned algorithm ranks a sealed live
+// index exactly as auto does, reporting the segments' work counters.
+func TestLiveSearchAlgo(t *testing.T) {
+	s, ts := newLiveServer(t, Config{Logger: quiet})
+	for i := 0; i < 200; i++ {
+		text := fmt.Sprintf("alpha w%d %s", i%7, strings.Repeat("beta ", i%5))
+		if _, err := s.Live().Add(text); err != nil {
+			t.Fatal(err)
+		}
+		if i == 120 {
+			if err := s.Live().Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Live().Seal(); err != nil {
+		t.Fatal(err)
+	}
+	search := func(query string) (int, searchResponse) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/search?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out searchResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, out
+	}
+	if code, _ := search("q=beta&mode=topk&algo=bogus"); code != http.StatusBadRequest {
+		t.Fatalf("algo=bogus: status %d, want 400", code)
+	}
+	_, auto := search("q=beta+w3&mode=topk&k=15&algo=auto")
+	if len(auto.Ranked) != 15 {
+		t.Fatalf("auto ranked %d results, want 15", len(auto.Ranked))
+	}
+	for _, algo := range []string{"bmw", "maxscore", "exhaustive"} {
+		code, got := search("q=beta+w3&mode=topk&k=15&algo=" + algo)
+		if code != http.StatusOK || !reflect.DeepEqual(got.Ranked, auto.Ranked) {
+			t.Fatalf("algo=%s: status %d, ranked %v, want auto's %v", algo, code, got.Ranked, auto.Ranked)
+		}
+		if got.TopK == nil || got.TopK.Lists == 0 || got.TopK.BlocksTotal == 0 {
+			t.Fatalf("algo=%s: no segment work counters: %+v", algo, got.TopK)
+		}
 	}
 }

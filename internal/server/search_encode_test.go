@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/index"
-	"repro/internal/ops"
 )
 
 // encodeDocs returns a corpus whose terms need JSON and HTML escaping
@@ -54,13 +54,15 @@ var encodeQueries = []struct{ mode, q, k string }{
 }
 
 // searchFunc answers one query the way the handler under test should.
-type searchFunc func(mode string, k int, terms []string) (searchResponse, error)
+type searchFunc func(q index.Query) (index.Answer, error)
 
 // checkSearchEncoding sends every encodeQueries request through h over a
 // real listener and asserts the body is byte-identical to
-// json.NewEncoder(...).Encode of the answer want computes, sent with
-// its exact Content-Length rather than chunked.
-func checkSearchEncoding(t *testing.T, h http.Handler, want searchFunc) {
+// json.NewEncoder(...).Encode of the response for the answer want
+// computes, sent with its exact Content-Length rather than chunked.
+// shards > 0 marks a routed server, whose responses carry the partial,
+// degradedShards and shards keys.
+func checkSearchEncoding(t *testing.T, h http.Handler, shards int, want searchFunc) {
 	t.Helper()
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -69,10 +71,16 @@ func checkSearchEncoding(t *testing.T, h http.Handler, want searchFunc) {
 		if c.mode != "" {
 			v.Set("mode", c.mode)
 		}
-		k := 10
+		q := index.Query{Mode: c.mode, Terms: index.Tokenize(c.q)}
+		if q.Mode == "" {
+			q.Mode = "and"
+		}
+		if q.Mode == "topk" {
+			q.K = 10
+		}
 		if c.k != "" {
 			v.Set("k", c.k)
-			k, _ = strconv.Atoi(c.k)
+			q.K, _ = strconv.Atoi(c.k)
 		}
 		resp, err := http.Get(ts.URL + "/search?" + v.Encode())
 		if err != nil {
@@ -86,13 +94,20 @@ func checkSearchEncoding(t *testing.T, h http.Handler, want searchFunc) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%v: status %d: %s", c, resp.StatusCode, body)
 		}
-		mode := c.mode
-		if mode == "" {
-			mode = "and"
-		}
-		exp, err := want(mode, k, index.Tokenize(c.q))
+		ans, err := want(q)
 		if err != nil {
 			t.Fatal(err)
+		}
+		exp := searchResponse{
+			Query:   q.Terms,
+			Mode:    q.Mode,
+			Docs:    ans.Docs,
+			Ranked:  ans.Ranked,
+			Matches: len(ans.Docs) + len(ans.Ranked),
+			TopK:    ans.TopK,
+		}
+		if shards > 0 {
+			exp.Partial, exp.DegradedShards, exp.Shards = &ans.Partial, ans.Degraded, shards
 		}
 		var buf bytes.Buffer
 		if err := json.NewEncoder(&buf).Encode(exp); err != nil {
@@ -116,22 +131,8 @@ func checkSearchEncoding(t *testing.T, h http.Handler, want searchFunc) {
 func TestSearchEncodingStatic(t *testing.T) {
 	idx := buildIndex(t, encodeDocs()...)
 	s := New(idx, Config{Logger: quiet})
-	checkSearchEncoding(t, s.Handler(), func(mode string, k int, terms []string) (searchResponse, error) {
-		resp := searchResponse{Query: terms, Mode: mode}
-		var err error
-		switch mode {
-		case "and":
-			resp.Docs, err = idx.Conjunctive(terms...)
-			resp.Matches = len(resp.Docs)
-		case "or":
-			resp.Docs, err = idx.Disjunctive(terms...)
-			resp.Matches = len(resp.Docs)
-		case "topk":
-			resp.TopK = &ops.TopKStats{}
-			resp.Ranked, err = idx.TopKWith("", k, resp.TopK, terms...)
-			resp.Matches = len(resp.Ranked)
-		}
-		return resp, err
+	checkSearchEncoding(t, s.Handler(), 0, func(q index.Query) (index.Answer, error) {
+		return idx.Search(context.Background(), q)
 	})
 }
 
@@ -144,23 +145,14 @@ func TestSearchEncodingLive(t *testing.T) {
 		if code, out := postJSON(t, ts.URL+"/ingest", string(body)); code != http.StatusOK {
 			t.Fatalf("ingest %d: %d %v", i, code, out)
 		}
-	}
-	l := s.Live()
-	checkSearchEncoding(t, s.Handler(), func(mode string, k int, terms []string) (searchResponse, error) {
-		resp := searchResponse{Query: terms, Mode: mode}
-		var err error
-		switch mode {
-		case "and":
-			resp.Docs, err = l.Conjunctive(terms...)
-			resp.Matches = len(resp.Docs)
-		case "or":
-			resp.Docs, err = l.Disjunctive(terms...)
-			resp.Matches = len(resp.Docs)
-		case "topk":
-			resp.Ranked, err = l.TopK(k, terms...)
-			resp.Matches = len(resp.Ranked)
+		if i == 150 {
+			if err := s.Live().Seal(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return resp, err
+	}
+	checkSearchEncoding(t, s.Handler(), 0, func(q index.Query) (index.Answer, error) {
+		return s.Live().Search(context.Background(), q)
 	})
 }
 

@@ -1,5 +1,9 @@
-// Package server wraps an index.Index behind a hardened HTTP stack: the
-// production deployment shell for the §A.1 search workload. It provides
+// Package server is the one hardened HTTP front end of the §A.1 search
+// workload. It fronts any of the three query surfaces — a static
+// index.Index (New), a WAL-backed index.Live (NewLive), or a
+// scatter-gather shard router (NewRouted) — behind the same /search,
+// whose parameters are parsed and validated in one place and answered
+// through the surface's Search(ctx, index.Query) method. It provides
 //
 //   - lifecycle: an http.Server with read/write/idle timeouts, graceful
 //     context-driven shutdown with a drain deadline, and /healthz
@@ -133,23 +137,50 @@ type Server struct {
 	reloadMu sync.Mutex
 	loadFn   func() (*index.Index, error)
 
+	queries atomic.Int64 // /search requests that passed validation
+
 	// Live-ingestion mode (NewLive): the mutable index being served and
-	// the bounded write-admission gate. nil/unused in static mode.
+	// the bounded write-admission gate. nil/unused in other modes.
 	live        *index.Live
 	ingestSem   chan struct{}
 	ingestSheds atomic.Int64
+
+	// Routed mode (NewRouted): the router, its /stats rows, and the
+	// count of answers missing a shard. nil/unused in other modes.
+	router   Router
+	perShard func() any
+	partial  atomic.Int64
+}
+
+// Router is the scatter-gather surface a routed server fronts;
+// *shard.Router implements it.
+type Router interface {
+	Search(ctx context.Context, q index.Query) (index.Answer, error)
+	Shards() int
+	// Health probes every replica and returns the shards with none
+	// healthy.
+	Health(ctx context.Context) []int
+}
+
+func newServer(cfg Config) *Server {
+	cfg = cfg.withDefaults()
+	return &Server{cfg: cfg, log: cfg.Logger, sem: make(chan struct{}, cfg.MaxInFlight)}
+}
+
+// NewRouted returns a server in routed mode, answering /search through
+// r; perShard supplies the /stats "perShard" rows. /reload is not
+// served: a router has no index of its own.
+func NewRouted(r Router, perShard func() any, cfg Config) *Server {
+	s := newServer(cfg)
+	s.router, s.perShard = r, perShard
+	return s
 }
 
 // New returns a server that serves idx. idx must be non-nil.
 func New(idx *index.Index, cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg: cfg,
-		log: cfg.Logger,
-		sem: make(chan struct{}, cfg.MaxInFlight),
-	}
-	if cfg.CacheBytes > 0 {
-		s.cache = index.NewDecodedCache(cfg.CacheBytes)
+	s := newServer(cfg)
+	if s.cfg.CacheBytes > 0 {
+		s.cache = index.NewDecodedCache(s.cfg.CacheBytes)
 		idx.AttachCache(s.cache)
 	}
 	s.snap.Store(index.NewSnapshot(idx))

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -107,31 +106,6 @@ func TestSearchTopK(t *testing.T) {
 	top := ranked[0].(map[string]interface{})
 	if top["Doc"].(float64) != 2 || top["Score"].(float64) != 2 {
 		t.Fatalf("top = %v", top)
-	}
-}
-
-func TestSearchErrors(t *testing.T) {
-	h := newTestServer(t, Config{MaxQueryTerms: 4, MaxK: 50}).Handler()
-	for _, path := range []string{
-		"/search",                      // missing q
-		"/search?q=x&mode=banana",      // bad mode
-		"/search?q=x&mode=topk&k=zero", // bad k
-		"/search?q=...&mode=and",       // tokenizes to nothing
-		"/search?q=a+b+c+d+e",          // more than MaxQueryTerms terms
-		"/search?q=x&mode=topk&k=51",   // k over MaxK
-	} {
-		rec, _ := get(t, h, path)
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", path, rec.Code)
-		}
-	}
-}
-
-func TestURLTooLong(t *testing.T) {
-	h := newTestServer(t, Config{MaxURLBytes: 64}).Handler()
-	rec, _ := get(t, h, "/search?q="+strings.Repeat("x", 100))
-	if rec.Code != http.StatusRequestURITooLong {
-		t.Fatalf("status %d, want 414", rec.Code)
 	}
 }
 

@@ -18,22 +18,12 @@ import (
 // or ranked ("topk" with K and an algorithm). Terms are already
 // tokenized. The same Request goes to every shard verbatim — doc
 // partitioning means shards differ in data, not in query.
-type Request struct {
-	Mode  string
-	Terms []string
-	K     int
-	Algo  string // topk only; "" means the server-side default
-}
+type Request = index.Query
 
-// Result is one shard replica's answer, in SHARD-LOCAL document ids.
-// The router maps ids back to the global space with GlobalID before
-// merging. Boolean answers fill Docs (sorted ascending); ranked
-// answers fill Ranked (score desc, local doc asc — the strict-beat
-// order every top-k algorithm in this repo emits).
-type Result struct {
-	Docs   []uint32
-	Ranked []index.Result
-}
+// Result is one shard replica's answer, in SHARD-LOCAL document ids:
+// Docs ascending, Ranked in strict-beat order. The router owns the
+// slices once Search returns and maps them to global ids in place.
+type Result = index.Answer
 
 // Backend is one replica of one shard: something that can answer a
 // Request over that shard's documents. The two implementations are
@@ -77,26 +67,7 @@ func (b *IndexBackend) Search(ctx context.Context, req Request) (Result, error) 
 			return Result{}, ctx.Err()
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	switch req.Mode {
-	case "and":
-		docs, err := b.Idx.Conjunctive(req.Terms...)
-		return Result{Docs: docs}, err
-	case "or":
-		docs, err := b.Idx.Disjunctive(req.Terms...)
-		return Result{Docs: docs}, err
-	case "topk":
-		algo := req.Algo
-		if algo == "" {
-			algo = "auto"
-		}
-		ranked, err := b.Idx.TopKWith(algo, req.K, nil, req.Terms...)
-		return Result{Ranked: ranked}, err
-	default:
-		return Result{}, fmt.Errorf("shard: unknown mode %q", req.Mode)
-	}
+	return b.Idx.Search(ctx, req)
 }
 
 // HTTPBackend answers queries by calling a bvserve replica's /search

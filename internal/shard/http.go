@@ -1,268 +1,17 @@
 package shard
 
-import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"log"
-	"net"
-	"net/http"
-	"strconv"
-	"sync/atomic"
-	"time"
+import "repro/internal/server"
 
-	"repro/internal/index"
-)
+// ServerConfig tunes the router's HTTP front: the same hardened
+// server.Config, with the same defaults, bvserve uses — so the router
+// and its shards agree on every limit, k included.
+type ServerConfig = server.Config
 
-// ServerConfig tunes the router's HTTP front. Zero values pick the
-// same serving-safe defaults the bvserve stack uses.
-type ServerConfig struct {
-	ReadTimeout   time.Duration // default 5s
-	WriteTimeout  time.Duration // default 10s
-	IdleTimeout   time.Duration // default 2m
-	DrainDeadline time.Duration // default 10s
-	MaxQueryTerms int           // default 16
-	MaxK          int           // default 100000 (merge input is N*k; the router can afford deep k)
-	Logger        *log.Logger   // default log.Default()
-}
-
-func (c ServerConfig) withDefaults() ServerConfig {
-	def := func(d *time.Duration, v time.Duration) {
-		if *d <= 0 {
-			*d = v
-		}
-	}
-	def(&c.ReadTimeout, 5*time.Second)
-	def(&c.WriteTimeout, 10*time.Second)
-	def(&c.IdleTimeout, 2*time.Minute)
-	def(&c.DrainDeadline, 10*time.Second)
-	if c.MaxQueryTerms <= 0 {
-		c.MaxQueryTerms = 16
-	}
-	if c.MaxK <= 0 {
-		c.MaxK = 100000
-	}
-	if c.Logger == nil {
-		c.Logger = log.Default()
-	}
-	return c
-}
-
-// Server is the HTTP front cmd/bvrouter serves: /search scatter-gathers
-// through the Router, /stats exposes the per-shard hedge/latency/
-// degraded counters, /healthz live-probes the fleet and reports partial
-// coverage, /readyz gates load-balancer traffic.
-type Server struct {
-	cfg     ServerConfig
-	router  *Router
-	log     *log.Logger
-	ready   atomic.Bool
-	queries atomic.Int64
-	partial atomic.Int64
-}
-
-// NewServer fronts router with the HTTP API.
-func NewServer(router *Router, cfg ServerConfig) *Server {
-	cfg = cfg.withDefaults()
-	return &Server{cfg: cfg, router: router, log: cfg.Logger}
-}
-
-// Router returns the underlying scatter-gather router (tests and
-// embedders).
-func (s *Server) Router() *Router { return s.router }
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// Handler builds the route set.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/search", s.handleSearch)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	return mux
-}
-
-// routerResponse is the /search JSON shape. It is a superset of
-// bvserve's searchResponse (same docs/ranked/matches keys, so every
-// existing client parses it) plus the partial-coverage fields.
-type routerResponse struct {
-	Query          []string       `json:"query"`
-	Mode           string         `json:"mode"`
-	Docs           []uint32       `json:"docs,omitempty"`
-	Ranked         []index.Result `json:"ranked,omitempty"`
-	Matches        int            `json:"matches"`
-	Partial        bool           `json:"partial"`
-	DegradedShards []int          `json:"degradedShards,omitempty"`
-	Shards         int            `json:"shards"`
-}
-
-// handleSearch validates like bvserve, scatters, merges, and always
-// answers 200 when at least one shard responded — a dead shard is a
-// documented partial answer ("shard 3 of 8 degraded, results partial"),
-// not a failed query.
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	terms := index.Tokenize(r.URL.Query().Get("q"))
-	if len(terms) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing or empty q parameter"})
-		return
-	}
-	if len(terms) > s.cfg.MaxQueryTerms {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("query has %d terms, limit is %d", len(terms), s.cfg.MaxQueryTerms),
-		})
-		return
-	}
-	mode := r.URL.Query().Get("mode")
-	if mode == "" {
-		mode = "and"
-	}
-	req := Request{Mode: mode, Terms: terms}
-	switch mode {
-	case "and", "or":
-	case "topk":
-		req.K = 10
-		if ks := r.URL.Query().Get("k"); ks != "" {
-			k, err := strconv.Atoi(ks)
-			if err != nil || k < 1 {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad k parameter"})
-				return
-			}
-			req.K = k
-		}
-		if req.K > s.cfg.MaxK {
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": fmt.Sprintf("k=%d exceeds limit %d", req.K, s.cfg.MaxK),
-			})
-			return
-		}
-		req.Algo = r.URL.Query().Get("algo")
-		switch req.Algo {
-		case "", "auto", "exhaustive", "maxscore", "bmw":
-		default:
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": "algo must be auto | exhaustive | maxscore | bmw",
-			})
-			return
-		}
-	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "mode must be and | or | topk"})
-		return
-	}
-	s.queries.Add(1)
-	m, err := s.router.Search(r.Context(), req)
-	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
-		return
-	}
-	if m.Partial {
-		s.partial.Add(1)
-		s.log.Printf("shard: query %v: %d of %d shards degraded %v, results partial",
-			terms, len(m.Degraded), s.router.Shards(), m.Degraded)
-	}
-	resp := routerResponse{
-		Query:          terms,
-		Mode:           mode,
-		Docs:           m.Docs,
-		Ranked:         m.Ranked,
-		Partial:        m.Partial,
-		DegradedShards: m.Degraded,
-		Shards:         s.router.Shards(),
-	}
-	if mode == "topk" {
-		resp.Matches = len(m.Ranked)
-	} else {
-		resp.Matches = len(m.Docs)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleStats reports router-level gauges plus the per-shard counter
-// rows (latency percentiles, hedges fired/won, degraded queries,
-// per-replica in-flight).
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"shards":         s.router.Shards(),
-		"queries":        s.queries.Load(),
-		"partialAnswers": s.partial.Load(),
-		"perShard":       s.router.Stats(),
-	})
-}
-
-// handleHealthz live-probes every replica. Full coverage is "ok";
-// shards with no healthy replica make the fleet "partial" (still 200 —
-// the router is alive and serving what it can); zero healthy shards is
-// "down" with 503.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-	defer cancel()
-	down := s.router.Health(ctx)
-	switch {
-	case len(down) == 0:
-		writeJSON(w, http.StatusOK, map[string]interface{}{"status": "ok", "shards": s.router.Shards()})
-	case len(down) < s.router.Shards():
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"status":     "partial",
-			"shards":     s.router.Shards(),
-			"shardsDown": down,
-		})
-	default:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{
-			"status":     "down",
-			"shards":     s.router.Shards(),
-			"shardsDown": down,
-		})
-	}
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "starting"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-// Run listens on addr and serves until ctx is cancelled, then drains.
-func (s *Server) Run(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("shard: listen %s: %w", addr, err)
-	}
-	return s.Serve(ctx, ln)
-}
-
-// Serve serves on ln until ctx is cancelled, then drains in-flight
-// requests for up to DrainDeadline.
-func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{
-		Handler:      s.Handler(),
-		ReadTimeout:  s.cfg.ReadTimeout,
-		WriteTimeout: s.cfg.WriteTimeout,
-		IdleTimeout:  s.cfg.IdleTimeout,
-		ErrorLog:     s.log,
-	}
-	s.ready.Store(true)
-	s.log.Printf("shard: router listening on %s (%d shards)", ln.Addr(), s.router.Shards())
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		s.ready.Store(false)
-		return fmt.Errorf("shard: serve: %w", err)
-	case <-ctx.Done():
-	}
-	s.ready.Store(false)
-	sctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainDeadline)
-	defer cancel()
-	err := srv.Shutdown(sctx)
-	<-errc
-	if err != nil {
-		return fmt.Errorf("shard: drain deadline exceeded: %w", err)
-	}
-	return nil
+// NewServer fronts router with the hardened HTTP stack every bvserve
+// runs: /search (parsed and validated like bvserve's, answered with
+// the partial-coverage keys), /stats with the per-shard rows, /healthz
+// live-probing the fleet, /readyz, and the middleware chain — URL
+// limit, load shedding, panic recovery, request timeout, request log.
+func NewServer(router *Router, cfg ServerConfig) *server.Server {
+	return server.NewRouted(router, func() any { return router.Stats() }, cfg)
 }

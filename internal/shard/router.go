@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
@@ -11,6 +10,7 @@ import (
 
 	"repro/internal/hist"
 	"repro/internal/index"
+	"repro/internal/ops"
 )
 
 // RouterConfig tunes scatter-gather behavior. Zero values pick
@@ -206,17 +206,6 @@ func (s *shardState) search(ctx context.Context, req Request, cfg RouterConfig) 
 	}
 }
 
-// Merged is a scatter-gather answer in global document ids. Partial
-// marks that one or more shards failed: Docs/Ranked are then an exact
-// answer over the shards that responded — a documented subset of the
-// truth, never a wrong result.
-type Merged struct {
-	Docs     []uint32
-	Ranked   []index.Result
-	Partial  bool
-	Degraded []int // ids of shards that failed this query
-}
-
 // Router fans queries out to every shard in parallel and merges the
 // per-shard answers exactly. One Router is safe for concurrent use.
 type Router struct {
@@ -247,10 +236,24 @@ func NewRouter(cfg RouterConfig, replicas [][]Backend) (*Router, error) {
 // Shards reports the shard count N of the partition this router serves.
 func (r *Router) Shards() int { return len(r.shards) }
 
-// Search scatters req to every shard, gathers, and merges. It fails
-// only when every shard fails; any partial set of responses yields a
-// Merged with Partial set and the dead shards listed.
-func (r *Router) Search(ctx context.Context, req Request) (Merged, error) {
+// Search scatters req to every shard, gathers, and merges in global
+// ids. It fails only when every shard fails; any partial set of
+// responses yields an answer with Partial set and the dead shards in
+// Degraded — an exact answer over the shards that responded, a
+// documented subset of the truth, never a wrong result.
+//
+// GlobalID is strictly increasing per shard and shards partition the
+// documents, so the per-shard lists are ascending and disjoint: their
+// union is the single-index posting list, and per-shard top-k lists
+// (k pushed down, local-docid tie-breaks) merge under strict-beat order
+// into the single-index ranking bit for bit.
+func (r *Router) Search(ctx context.Context, req Request) (index.Answer, error) {
+	if err := req.Validate(); err != nil {
+		return index.Answer{}, err
+	}
+	if err := ctx.Err(); err != nil {
+		return index.Answer{}, err
+	}
 	n := len(r.shards)
 	results := make([]Result, n)
 	errs := make([]error, n)
@@ -264,141 +267,34 @@ func (r *Router) Search(ctx context.Context, req Request) (Merged, error) {
 	}
 	wg.Wait()
 
-	var m Merged
-	live := make([]int, 0, n)
-	for i := range errs {
-		if errs[i] != nil {
+	var (
+		m      index.Answer
+		docs   = make([][]uint32, 0, n)
+		ranked = make([][]index.Result, 0, n)
+	)
+	for s, res := range results {
+		if errs[s] != nil {
 			m.Partial = true
-			m.Degraded = append(m.Degraded, i)
-		} else {
-			live = append(live, i)
+			m.Degraded = append(m.Degraded, s)
+			continue
 		}
+		for i, d := range res.Docs {
+			res.Docs[i] = GlobalID(d, s, n)
+		}
+		for i := range res.Ranked {
+			res.Ranked[i].Doc = GlobalID(res.Ranked[i].Doc, s, n)
+		}
+		docs, ranked = append(docs, res.Docs), append(ranked, res.Ranked)
 	}
-	if len(live) == 0 {
-		return Merged{}, fmt.Errorf("shard: all %d shards failed: %w", n, errs[0])
+	if len(m.Degraded) == n {
+		return index.Answer{}, fmt.Errorf("shard: all %d shards failed: %w", n, errs[0])
 	}
-	switch req.Mode {
-	case "topk":
-		m.Ranked = mergeRanked(results, live, n, req.K)
-	default:
-		m.Docs = mergeDocs(results, live, n)
+	if req.Mode == "topk" {
+		m.Ranked = ops.MergeTopK(req.K, ranked)
+	} else {
+		m.Docs = ops.UnionMany(docs)
 	}
 	return m, nil
-}
-
-// docHeap merges per-shard sorted posting lists (already mapped to
-// global ids) by ascending doc. Entries index into lists.
-type docHead struct {
-	doc   uint32
-	shard int // index into the lists slice, for advancing
-}
-type docHeap []docHead
-
-func (h docHeap) Len() int            { return len(h) }
-func (h docHeap) Less(i, j int) bool  { return h[i].doc < h[j].doc }
-func (h docHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *docHeap) Push(x interface{}) { *h = append(*h, x.(docHead)) }
-func (h *docHeap) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
-// mergeDocs N-way-merges the live shards' sorted local posting lists
-// into one global sorted list. Shards partition the doc space, so the
-// merged list is exactly the single-index answer restricted to the
-// live shards — no duplicates to resolve.
-func mergeDocs(results []Result, live []int, n int) []uint32 {
-	total := 0
-	for _, s := range live {
-		total += len(results[s].Docs)
-	}
-	out := make([]uint32, 0, total)
-	h := make(docHeap, 0, len(live))
-	pos := make([]int, len(results))
-	for _, s := range live {
-		if len(results[s].Docs) > 0 {
-			h = append(h, docHead{doc: GlobalID(results[s].Docs[0], s, n), shard: s})
-			pos[s] = 1
-		}
-	}
-	heap.Init(&h)
-	for len(h) > 0 {
-		head := h[0]
-		out = append(out, head.doc)
-		s := head.shard
-		if pos[s] < len(results[s].Docs) {
-			h[0] = docHead{doc: GlobalID(results[s].Docs[pos[s]], s, n), shard: s}
-			pos[s]++
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return out
-}
-
-// rankHead is one shard's current best ranked result during the top-k
-// merge, ordered strict-beat: higher score first, global doc id as the
-// deterministic tiebreak — the exact order every top-k algorithm in
-// this repo emits, so the merged stream is the single-index ranking.
-type rankHead struct {
-	res   index.Result
-	shard int
-}
-type rankHeap []rankHead
-
-func (h rankHeap) Len() int { return len(h) }
-func (h rankHeap) Less(i, j int) bool {
-	if h[i].res.Score != h[j].res.Score {
-		return h[i].res.Score > h[j].res.Score
-	}
-	return h[i].res.Doc < h[j].res.Doc
-}
-func (h rankHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *rankHeap) Push(x interface{}) { *h = append(*h, x.(rankHead)) }
-func (h *rankHeap) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
-// mergeRanked merges the live shards' top-k lists (k pushed down, so
-// each holds at most k entries) under strict-beat order and keeps the
-// global best k. Each shard list arrives sorted (score desc, local doc
-// asc) and GlobalID preserves per-shard doc order, so this is an exact
-// N-way sorted merge: the result is bit-identical to the single-index
-// top-k restricted to live shards.
-func mergeRanked(results []Result, live []int, n, k int) []index.Result {
-	h := make(rankHeap, 0, len(live))
-	pos := make([]int, len(results))
-	for _, s := range live {
-		if len(results[s].Ranked) > 0 {
-			r := results[s].Ranked[0]
-			r.Doc = GlobalID(r.Doc, s, n)
-			h = append(h, rankHead{res: r, shard: s})
-			pos[s] = 1
-		}
-	}
-	heap.Init(&h)
-	out := make([]index.Result, 0, k)
-	for len(h) > 0 && len(out) < k {
-		head := h[0]
-		out = append(out, head.res)
-		s := head.shard
-		if pos[s] < len(results[s].Ranked) {
-			r := results[s].Ranked[pos[s]]
-			r.Doc = GlobalID(r.Doc, s, n)
-			pos[s]++
-			h[0] = rankHead{res: r, shard: s}
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return out
 }
 
 // ReplicaStats is one replica's load gauge, for /stats.

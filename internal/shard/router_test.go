@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/codecs"
 	"repro/internal/index"
+	"repro/internal/server"
 )
 
 // testCorpus generates a deterministic corpus with long, short, and
@@ -406,7 +408,7 @@ func TestRouterHTTP(t *testing.T) {
 	ranked := m["ranked"].([]interface{})
 	for i, raw := range ranked {
 		row := raw.(map[string]interface{})
-		if uint32(row["Doc"].(float64)) != wantTop[i].Doc || int(row["Score"].(float64)) != wantTop[i].Score {
+		if uint32(row["Doc"].(float64)) != wantTop[i].Doc || uint32(row["Score"].(float64)) != wantTop[i].Score {
 			t.Fatalf("rank %d = %v, want %+v", i, row, wantTop[i])
 		}
 	}
@@ -451,7 +453,11 @@ func TestRouterHTTPPartial(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("search with dead shard: status %d", rec.Code)
 	}
-	var sr routerResponse
+	var sr struct {
+		Docs           []uint32
+		Partial        bool
+		DegradedShards []int
+	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -485,4 +491,43 @@ func mustReq(t *testing.T, path string) *http.Request {
 		t.Fatal(err)
 	}
 	return req
+}
+
+// TestRouterRejectsShardLimitK: the router and its bvserve shards share
+// one MaxK default, so a k beyond it is the client's 400 at the router
+// — not a 503 after every shard refused it, with each shard's degraded
+// counter bumped.
+func TestRouterRejectsShardLimitK(t *testing.T) {
+	docs := testCorpus(60)
+	parts, err := Partition(docs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet := log.New(io.Discard, "", 0)
+	backends := make([][]Backend, len(parts))
+	for s, part := range parts {
+		ts := httptest.NewServer(server.New(buildIndex(t, part), server.Config{Logger: quiet}).Handler())
+		defer ts.Close()
+		backends[s] = []Backend{&HTTPBackend{Base: ts.URL}}
+	}
+	r, err := NewRouter(RouterConfig{}, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(r, ServerConfig{Logger: quiet}).Handler()
+	for path, want := range map[string]int{
+		"/search?q=common&mode=topk&k=5000": http.StatusBadRequest,
+		"/search?q=common&mode=topk&k=1000": http.StatusOK,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, mustReq(t, path))
+		if rec.Code != want {
+			t.Fatalf("%s: status %d (%s), want %d", path, rec.Code, rec.Body, want)
+		}
+	}
+	for _, st := range r.Stats() {
+		if st.Degraded != 0 {
+			t.Fatalf("shard %d degraded counter = %d, want 0", st.Shard, st.Degraded)
+		}
+	}
 }

@@ -16,19 +16,23 @@
 //   - Map: the checksummed shard-map manifest written next to the
 //     shard files by `bvindex -partition N` (shardmap.go);
 //   - Backend: one shard replica — in-process over an index.Index or
-//     remote over a bvserve /search endpoint (backend.go);
+//     remote over a bvserve /search endpoint (backend.go). A Request is
+//     an index.Query and a Result an index.Answer: the query the
+//     client sent travels to every shard unchanged;
 //   - Router: parallel scatter-gather with load-based pick-of-two
 //     replica selection, adaptive hedged requests, exact merge
-//     (sorted N-way for postings, strict-beat heap order for top-k),
-//     and per-shard degradation — a dead shard yields a documented
-//     partial answer, never a failed query (router.go);
-//   - Server: the hardened HTTP front the bvrouter command serves
-//     (http.go).
+//     (ops.UnionMany for postings, ops.MergeTopK for top-k — the merges
+//     a live index uses across its segments), and per-shard
+//     degradation — a dead shard yields a documented partial answer,
+//     never a failed query (router.go). Router.Search is the same
+//     Search(ctx, index.Query) the static and live indexes answer;
+//   - NewServer: the router behind the one hardened HTTP front end,
+//     internal/server, that bvserve runs too (http.go).
 //
 // Merge exactness rests on the partition being a disjoint cover with
 // an order-preserving local→global map per shard: boolean results
-// concatenate under an N-way sorted merge into exactly the single-index
-// list, and per-shard top-k with local-docid tie-breaks restricts the
+// union into exactly the single-index list, and per-shard top-k with
+// local-docid tie-breaks restricts the
 // global (score desc, doc asc) order shard by shard, so merging the
 // per-shard top-k lists and keeping the best k reproduces the global
 // top-k bit for bit. The oracle pairing CheckSharded proves this
